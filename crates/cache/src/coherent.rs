@@ -1,11 +1,10 @@
 //! Thread-aware cache hierarchy with a MESI-lite coherence cost model.
 //!
-//! [`CacheHierarchy`](crate::CacheHierarchy) is oblivious to which logical
-//! thread issued an access, so a sharded allocator's true/false-sharing
-//! behaviour is invisible to it. [`CoherentHierarchy`] gives every logical
-//! thread (announced via `Op::ThreadSwitch` upstream) its own private L1D
-//! and dTLB over the *shared* L2/L3, and tracks a per-line MESI-lite state
-//! in each private L1:
+//! A single L1D shared by every logical thread would hide a sharded
+//! allocator's true/false-sharing behaviour. [`CoherentHierarchy`] gives
+//! every logical thread (announced via `Op::ThreadSwitch` upstream) its
+//! own private L1D and dTLB over the *shared* L2/L3, and tracks a per-line
+//! MESI-lite state in each private L1:
 //!
 //! * a demand fill is **Exclusive** when no other thread holds the line,
 //!   **Shared** otherwise (a read miss also downgrades remote
@@ -25,8 +24,9 @@
 //! When only one logical thread ever runs, no line can ever be Shared, so
 //! every counter here stays zero and the hit/miss/TLB stream — private L1
 //! over shared L2/L3 with the same adjacent-line prefetch — is
-//! *bit-identical* to [`CacheHierarchy`](crate::CacheHierarchy); the
-//! differential property suite pins that identity.
+//! *bit-identical* to the plain single-threaded walk
+//! [`ReferenceHierarchy`](crate::ReferenceHierarchy); the differential
+//! property suite pins that identity.
 
 use crate::hierarchy::{AccessStats, HierarchyConfig};
 use crate::set_assoc::{CacheConfig, SetAssocCache};
@@ -309,6 +309,11 @@ impl ThreadDomain {
 
 /// Per-thread L1Ds and dTLBs over a shared L2/L3, with MESI-lite
 /// coherence between the L1s. See the [module docs](self).
+///
+/// All levels fill on miss (mostly-inclusive, as on the evaluation part's
+/// generation of Intel hardware) and replace true-LRU. Accesses that
+/// straddle a line boundary are split and counted per line touched, which
+/// is how a real L1D sees them.
 #[derive(Debug)]
 pub struct CoherentHierarchy {
     config: HierarchyConfig,
@@ -404,17 +409,9 @@ impl CoherentHierarchy {
         domain.l1.state_of(line).unwrap_or(LineState::Invalid)
     }
 
-    /// Reset all counters but keep cache contents and states.
-    pub fn reset_stats(&mut self) {
-        self.coherence = CoherenceStats::default();
-        for domain in &mut self.threads {
-            domain.stats = AccessStats::default();
-        }
-    }
-
     /// Simulate a data access of `width` bytes at `addr` on the current
     /// logical thread. Line/page splitting and the shared-level walk
-    /// mirror [`CacheHierarchy::access`](crate::CacheHierarchy::access)
+    /// mirror [`ReferenceHierarchy::access`](crate::ReferenceHierarchy::access)
     /// exactly.
     #[inline]
     pub fn access(&mut self, addr: u64, width: u8, store: bool) {
@@ -519,7 +516,7 @@ impl CoherentHierarchy {
         // the fix-up is O(1)). A capacity/conflict victim silently takes
         // its state with it; dirty write-back is not modelled (the shared
         // L2 filled the line on the original demand miss, as in the
-        // plain hierarchy). The single `domain` borrow keeps the ~93%
+        // reference walk). The single `domain` borrow keeps the ~93%
         // hit path free of repeated `threads[t]` re-indexing.
         let domain = &mut self.threads[t];
         if domain.l1.access_line(line, LineState::Exclusive) {
@@ -570,8 +567,8 @@ impl CoherentHierarchy {
             (false, false) => LineState::Exclusive,
         };
         self.threads[t].l1.set_mru_state(state);
-        // Shared levels: exactly the plain hierarchy's walk (same calls,
-        // same order), so single-thread L2/L3 contents stay bit-identical.
+        // Shared levels: exactly the reference walk (same calls, same
+        // order), so single-thread L2/L3 contents stay bit-identical.
         let line_bytes = self.line_unit.bytes();
         let line_addr = line * line_bytes;
         let l2_hit = self.l2.access(line_addr);
@@ -620,7 +617,7 @@ impl CoherentHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::CacheHierarchy;
+    use crate::reference::ReferenceHierarchy;
     use crate::timing::TimingModel;
 
     const LINE: u64 = 64;
@@ -633,13 +630,13 @@ mod tests {
     fn single_thread_is_bit_identical_to_plain_hierarchy() {
         // The deterministic core of the differential property suite: same
         // access stream, never switching threads, must produce the same
-        // counters and the same cycles under both models.
+        // counters as the plain reference walk and the same cycles.
         for config in [
             HierarchyConfig::tiny(),
             HierarchyConfig { adjacent_line_prefetch: true, ..HierarchyConfig::tiny() },
             HierarchyConfig::xeon_w2195(),
         ] {
-            let mut plain = CacheHierarchy::new(config);
+            let mut plain = ReferenceHierarchy::new(config);
             let mut coh = CoherentHierarchy::new(config);
             for i in 0..4000u64 {
                 let addr = (i * 37) % 8192;

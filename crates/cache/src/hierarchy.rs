@@ -1,7 +1,6 @@
-//! Three-level cache hierarchy plus data TLB.
+//! Geometry and counters of the three-level cache hierarchy plus data TLB.
 
-use crate::set_assoc::{CacheConfig, SetAssocCache};
-use crate::span::SpanUnit;
+use crate::set_assoc::CacheConfig;
 
 /// Geometry of the whole simulated memory subsystem.
 #[derive(Debug, Clone, Copy)]
@@ -63,7 +62,8 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// Hit/miss counters accumulated by a [`CacheHierarchy`].
+/// Hit/miss counters accumulated by a [`CoherentHierarchy`](crate::CoherentHierarchy),
+/// per logical thread and in aggregate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Demand accesses that hit in L1D.
@@ -87,166 +87,16 @@ impl AccessStats {
     pub fn accesses(&self) -> u64 {
         self.l1_hits + self.l1_misses
     }
-
-    /// L1D miss rate in `[0, 1]`; 0 when no accesses were made.
-    pub fn l1_miss_rate(&self) -> f64 {
-        let total = self.accesses();
-        if total == 0 {
-            0.0
-        } else {
-            self.l1_misses as f64 / total as f64
-        }
-    }
-}
-
-/// The simulated memory subsystem: L1D → L2 → L3 with a dTLB on the side.
-///
-/// All levels fill on miss (mostly-inclusive, as on the evaluation part's
-/// generation of Intel hardware) and replace true-LRU. Accesses that
-/// straddle a line boundary are split and counted per line touched, which is
-/// how a real L1D sees them.
-#[derive(Debug)]
-pub struct CacheHierarchy {
-    config: HierarchyConfig,
-    l1: SetAssocCache,
-    l2: SetAssocCache,
-    l3: SetAssocCache,
-    tlb: SetAssocCache,
-    stats: AccessStats,
-    /// Precomputed shift/mask divider for L1 lines.
-    line_unit: SpanUnit,
-    /// Precomputed divider for pages (falls back to division when the
-    /// page size is not a power of two — it is never asserted to be).
-    page_unit: SpanUnit,
-    /// MRU filter: the `(line, page)` the previous access ended on. A
-    /// repeat access confined to that line and page is a guaranteed
-    /// L1+TLB hit whose MRU promotion is a no-op, so the whole walk can
-    /// be skipped; see the invalidation rules in DESIGN.md §14.
-    filter: Option<(u64, u64)>,
-}
-
-impl CacheHierarchy {
-    /// Build an empty hierarchy.
-    pub fn new(config: HierarchyConfig) -> Self {
-        CacheHierarchy {
-            config,
-            l1: SetAssocCache::new(config.l1),
-            l2: SetAssocCache::new(config.l2),
-            l3: SetAssocCache::new(config.l3),
-            tlb: SetAssocCache::new(CacheConfig {
-                size_bytes: (config.tlb_entries as u64).max(config.tlb_ways as u64),
-                line_bytes: 1,
-                ways: config.tlb_ways,
-            }),
-            stats: AccessStats::default(),
-            line_unit: SpanUnit::new(config.l1.line_bytes),
-            page_unit: SpanUnit::new(config.page_bytes),
-            filter: None,
-        }
-    }
-
-    /// The geometry this hierarchy was built with.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-
-    /// Accumulated counters.
-    pub fn stats(&self) -> AccessStats {
-        self.stats
-    }
-
-    /// Reset the counters but keep cache contents (used to exclude warm-up
-    /// phases from measurement).
-    pub fn reset_stats(&mut self) {
-        self.stats = AccessStats::default();
-    }
-
-    /// Simulate a data access of `width` bytes at `addr`.
-    #[inline]
-    pub fn access(&mut self, addr: u64, width: u8, store: bool) {
-        if store {
-            self.stats.stores += 1;
-        } else {
-            self.stats.loads += 1;
-        }
-        let lines = self.line_unit.lines_touched(addr, width);
-        let pages = self.page_unit.lines_touched(addr, width);
-        // MRU filter: confined to the line and page the previous access
-        // ended on, this is an L1 hit and a TLB hit whose MRU promotions
-        // are both no-ops — only the counter moves.
-        if lines.is_single() && pages.is_single() && self.filter == Some((lines.first, pages.first))
-        {
-            self.stats.l1_hits += 1;
-            return;
-        }
-        // TLB: per page touched.
-        for page in pages.first..=pages.last {
-            if !self.tlb.access(page) {
-                self.stats.tlb_misses += 1;
-            }
-        }
-        // Caches: per line touched.
-        for line in lines.first..=lines.last {
-            self.access_one_line(line);
-        }
-        // The walk leaves its final line and page at the MRU position of
-        // their sets — exactly what the filter asserts.
-        self.filter = Some((lines.last, pages.last));
-    }
-
-    /// Stream a batch of accesses (SoA slices) through the hierarchy,
-    /// identical to calling [`access`](Self::access) per element.
-    pub fn access_batch(&mut self, addrs: &[u64], widths: &[u8], stores: &[bool]) {
-        debug_assert!(addrs.len() == widths.len() && addrs.len() == stores.len());
-        for i in 0..addrs.len() {
-            self.access(addrs[i], widths[i], stores[i]);
-        }
-    }
-
-    fn access_one_line(&mut self, line: u64) {
-        let line_bytes = self.line_unit.bytes();
-        let line_addr = line * line_bytes;
-        if self.l1.access_line(line).0 {
-            self.stats.l1_hits += 1;
-            return;
-        }
-        self.stats.l1_misses += 1;
-        let l2_hit = self.l2.access(line_addr);
-        if !l2_hit {
-            self.stats.l2_misses += 1;
-            if !self.l3.access(line_addr) {
-                self.stats.l3_misses += 1;
-            }
-        }
-        if self.config.adjacent_line_prefetch {
-            // Fill the spatial neighbours into L2/L3 without touching the
-            // demand counters (an idealised, always-timely prefetcher).
-            for neighbour in
-                [line_addr.wrapping_add(line_bytes), line_addr.wrapping_sub(line_bytes)]
-            {
-                self.l2.access(neighbour);
-                self.l3.access(neighbour);
-            }
-        }
-    }
-
-    /// Flush all levels and the TLB (counters are preserved).
-    pub fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-        self.l3.flush();
-        self.tlb.flush();
-        self.filter = None;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoherentHierarchy;
 
     #[test]
     fn hit_miss_progression_through_levels() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::tiny());
+        let mut h = CoherentHierarchy::new(HierarchyConfig::tiny());
         h.access(0, 8, false);
         assert_eq!(h.stats().l1_misses, 1);
         assert_eq!(h.stats().l2_misses, 1);
@@ -258,23 +108,23 @@ mod tests {
 
     #[test]
     fn l2_catches_l1_capacity_victims() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::tiny());
+        let mut h = CoherentHierarchy::new(HierarchyConfig::tiny());
         // Touch 16 distinct lines: L1 (512B = 8 lines) overflows, L2 holds all.
         for i in 0..16u64 {
             h.access(i * 64, 8, false);
         }
-        h.reset_stats();
+        let warm = h.stats();
         for i in 0..16u64 {
             h.access(i * 64, 8, false);
         }
         let s = h.stats();
-        assert!(s.l1_misses > 0, "working set exceeds L1");
-        assert_eq!(s.l2_misses, 0, "working set fits in L2");
+        assert!(s.l1_misses > warm.l1_misses, "working set exceeds L1");
+        assert_eq!(s.l2_misses, warm.l2_misses, "working set fits in L2");
     }
 
     #[test]
     fn line_straddling_access_counts_both_lines() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::tiny());
+        let mut h = CoherentHierarchy::new(HierarchyConfig::tiny());
         h.access(60, 8, true); // crosses the 64-byte boundary
         assert_eq!(h.stats().l1_misses, 2);
         assert_eq!(h.stats().stores, 1);
@@ -282,7 +132,7 @@ mod tests {
 
     #[test]
     fn tlb_misses_per_new_page() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::tiny());
+        let mut h = CoherentHierarchy::new(HierarchyConfig::tiny());
         h.access(0, 8, false);
         h.access(4096, 8, false);
         h.access(0, 8, false); // still resident (8 entries)
@@ -295,10 +145,9 @@ mod tests {
         // logical objects packed densely generate fewer misses than spread
         // across lines.
         let cfg = HierarchyConfig::tiny();
-        let mut dense = CacheHierarchy::new(cfg);
-        let mut scattered = CacheHierarchy::new(cfg);
-        for round in 0..10 {
-            let _ = round;
+        let mut dense = CoherentHierarchy::new(cfg);
+        let mut scattered = CoherentHierarchy::new(cfg);
+        for _round in 0..10 {
             for i in 0..16u64 {
                 dense.access(i * 16, 8, false); // 4 objects per line: 4 lines total
                 scattered.access(i * 256, 8, false); // 1 object per 4 lines: 16 lines
@@ -308,33 +157,36 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_keeps_contents() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::tiny());
+    fn warm_up_is_excluded_by_a_stats_delta() {
+        // Measuring a phase as the difference of two snapshots keeps the
+        // warm-up's cache contents: the measured re-access hits.
+        let mut h = CoherentHierarchy::new(HierarchyConfig::tiny());
         h.access(0, 8, false);
-        h.reset_stats();
+        let warm = h.stats();
         h.access(0, 8, false);
-        assert_eq!(h.stats().l1_hits, 1);
-        assert_eq!(h.stats().l1_misses, 0);
+        let s = h.stats();
+        assert_eq!(s.l1_hits - warm.l1_hits, 1);
+        assert_eq!(s.l1_misses - warm.l1_misses, 0);
     }
 
     #[test]
     fn xeon_geometry_is_consistent() {
         // Constructing the full-size hierarchy exercises the geometry
         // assertions (25344 KiB / 64 B / 11 ways divides evenly).
-        let h = CacheHierarchy::new(HierarchyConfig::xeon_w2195());
+        let h = CoherentHierarchy::new(HierarchyConfig::xeon_w2195());
         assert_eq!(h.config().l1.sets(), 64);
         assert_eq!(h.config().l3.ways, 11);
     }
 
     #[test]
     fn miss_rate_bounds() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::tiny());
-        assert_eq!(h.stats().l1_miss_rate(), 0.0);
+        let mut h = CoherentHierarchy::new(HierarchyConfig::tiny());
+        assert_eq!(h.stats().accesses(), 0);
         for i in 0..100u64 {
             h.access(i * 8, 8, i % 2 == 0);
         }
-        let r = h.stats().l1_miss_rate();
-        assert!(r > 0.0 && r <= 1.0);
-        assert_eq!(h.stats().loads + h.stats().stores, 100);
+        let s = h.stats();
+        assert!(s.l1_misses > 0 && s.l1_misses <= s.accesses());
+        assert_eq!(s.loads + s.stores, 100);
     }
 }

@@ -4,8 +4,12 @@
 //! 1024 KiB per-core L2, 25344 KiB shared L3) and reports two metrics per
 //! configuration: **L1 data-cache misses** and **time elapsed**. This crate
 //! provides the stand-in for that hardware: set-associative LRU caches, a
-//! data TLB, a three-level hierarchy, and a simple latency-based timing
-//! model that converts access counts into simulated cycles.
+//! data TLB, a three-level hierarchy with per-thread L1Ds kept coherent,
+//! and a simple latency-based timing model that converts access counts
+//! into simulated cycles. [`CoherentHierarchy`] is the one engine the
+//! measurement pipeline drives; the [`ReferenceHierarchy`] and
+//! [`ReferenceCoherentHierarchy`] walks are the oracles it is tested
+//! against.
 //!
 //! Absolute numbers will not match a real Xeon — the reproduction targets
 //! the *shape* of the results (who wins and by roughly what factor), as
@@ -14,9 +18,9 @@
 //! # Example
 //!
 //! ```
-//! use halo_cache::{CacheHierarchy, HierarchyConfig};
+//! use halo_cache::{CoherentHierarchy, HierarchyConfig};
 //!
-//! let mut h = CacheHierarchy::new(HierarchyConfig::xeon_w2195());
+//! let mut h = CoherentHierarchy::new(HierarchyConfig::xeon_w2195());
 //! h.access(0x1000, 8, false);
 //! h.access(0x1000, 8, false); // same line: L1 hit
 //! assert_eq!(h.stats().l1_misses, 1);
@@ -31,8 +35,7 @@ mod span;
 mod timing;
 
 pub use coherent::{CoherenceStats, CoherentHierarchy, LineState, ThreadAccessStats};
-pub use hierarchy::{AccessStats, CacheHierarchy, HierarchyConfig};
+pub use hierarchy::{AccessStats, HierarchyConfig};
 pub use reference::{ReferenceCoherentHierarchy, ReferenceHierarchy};
 pub use set_assoc::{CacheConfig, SetAssocCache};
-pub use span::{Span, SpanUnit};
 pub use timing::TimingModel;

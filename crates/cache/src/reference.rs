@@ -1,14 +1,15 @@
 //! The pre-fast-path hierarchy walks, retained verbatim as behavioural
 //! oracles.
 //!
-//! [`CacheHierarchy`](crate::CacheHierarchy) and
-//! [`CoherentHierarchy`](crate::CoherentHierarchy) now carry precomputed
-//! shift/mask geometry, a single-line fast path, and a per-thread MRU line
-//! filter. Every one of those is claimed to be *exactly* equivalent to the
-//! original per-access walk — same counters, same LRU contents, same
-//! MESI-lite states. This module keeps that original walk alive, division
-//! by division, so the differential property suite can prove the claim on
-//! randomized traces instead of trusting it.
+//! [`CoherentHierarchy`](crate::CoherentHierarchy) carries precomputed
+//! shift/mask geometry, a single-line fast path, a per-thread MRU line
+//! filter and a timestamp-LRU L1. Every one of those is claimed to be
+//! *exactly* equivalent to the original per-access walk — same counters,
+//! same LRU contents, same MESI-lite states. This module keeps that
+//! original walk alive, division by division, so the differential property
+//! suite can prove the claim on randomized traces instead of trusting it:
+//! [`ReferenceHierarchy`] against one-thread runs, and
+//! [`ReferenceCoherentHierarchy`] against thread interleavings.
 //!
 //! Nothing here is reachable from the measurement pipeline; the reference
 //! models exist only to be compared against.
@@ -19,8 +20,9 @@ use crate::{CoherenceStats, LineState, ThreadAccessStats};
 use std::collections::HashMap;
 
 /// The original single-threaded three-level walk: one division per level
-/// per access, no fast paths. Mirrors the public API of
-/// [`CacheHierarchy`](crate::CacheHierarchy) that the tests need.
+/// per access, no fast paths, no coherence. A one-thread
+/// [`CoherentHierarchy`](crate::CoherentHierarchy) must match it counter
+/// for counter.
 #[derive(Debug)]
 pub struct ReferenceHierarchy {
     config: HierarchyConfig,
@@ -51,11 +53,6 @@ impl ReferenceHierarchy {
     /// Accumulated counters.
     pub fn stats(&self) -> AccessStats {
         self.stats
-    }
-
-    /// Reset counters, keep contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = AccessStats::default();
     }
 
     /// The original `access`: division-based page/line splitting, inclusive

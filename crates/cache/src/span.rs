@@ -1,22 +1,21 @@
-//! Shared line/page span computation for the hierarchy hot loops.
+//! Line/page span computation for the hierarchy hot loop.
 //!
-//! Both [`CacheHierarchy`](crate::CacheHierarchy) and
-//! [`CoherentHierarchy`](crate::CoherentHierarchy) split every access into
-//! the cache lines (and pages) it touches. Before this module each of them
-//! spelled the split out inline as
-//! `(addr + width.max(1) - 1) / line_bytes`, paying a 64-bit division per
-//! access per level. [`SpanUnit`] hoists that computation into one place
-//! and replaces the division with a shift whenever the unit size is a
-//! power of two (always true for cache lines — [`CacheConfig::sets`]
-//! asserts it — and true for every realistic page size; non-power-of-two
-//! units fall back to the division, bit-for-bit identical).
+//! [`CoherentHierarchy`](crate::CoherentHierarchy) splits every access
+//! into the cache lines (and pages) it touches. The reference walks spell
+//! the split out inline as `(addr + width.max(1) - 1) / line_bytes`,
+//! paying a 64-bit division per access per level. [`SpanUnit`] hoists that
+//! computation into one place and replaces the division with a shift
+//! whenever the unit size is a power of two (always true for cache lines —
+//! [`CacheConfig::sets`] asserts it — and true for every realistic page
+//! size; non-power-of-two units fall back to the division, bit-for-bit
+//! identical).
 //!
 //! [`CacheConfig::sets`]: crate::CacheConfig::sets
 
 /// The half-open unit count is never needed: a span is the *inclusive*
 /// range `[first, last]` of line (or page) numbers an access touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
+pub(crate) struct Span {
     /// Unit number containing the first byte of the access.
     pub first: u64,
     /// Unit number containing the last byte of the access.
@@ -25,7 +24,7 @@ pub struct Span {
 
 impl Span {
     /// Whether the access stayed inside one line/page — the common case
-    /// the hierarchies fast-path.
+    /// the hierarchy fast-paths.
     #[inline]
     pub fn is_single(self) -> bool {
         self.first == self.last
@@ -35,7 +34,7 @@ impl Span {
 /// A precomputed divider for one span unit (a line size or a page size),
 /// built once per hierarchy instead of re-deriving per access.
 #[derive(Debug, Clone, Copy)]
-pub struct SpanUnit {
+pub(crate) struct SpanUnit {
     bytes: u64,
     /// `Some(log2(bytes))` when `bytes` is a power of two; `None` keeps
     /// the exact division fallback for irregular unit sizes.
@@ -69,8 +68,8 @@ impl SpanUnit {
     }
 
     /// The units a `width`-byte access at `addr` touches. Zero-width
-    /// accesses are clamped to one byte, exactly as the hierarchies always
-    /// did (`width.max(1)`).
+    /// accesses are clamped to one byte, exactly as the reference walks do
+    /// (`width.max(1)`).
     #[inline]
     pub fn lines_touched(self, addr: u64, width: u8) -> Span {
         let last_byte = addr + (width.max(1) as u64 - 1);
@@ -84,7 +83,7 @@ mod tests {
 
     #[test]
     fn zero_width_touches_exactly_one_unit() {
-        // width 0 is clamped to 1 byte — the pre-helper hierarchies'
+        // width 0 is clamped to 1 byte — the reference walks'
         // `width.max(1)` behaviour.
         let u = SpanUnit::new(64);
         assert_eq!(u.lines_touched(0, 0), Span { first: 0, last: 0 });

@@ -1,21 +1,23 @@
-//! Differential property suite: the fused fast-path hierarchies against
-//! the retained reference walks.
+//! Differential property suite: the fused fast-path hierarchy against the
+//! retained reference walks.
 //!
-//! The fast paths ([`CacheHierarchy`]'s precomputed shift/mask geometry,
-//! single-line short-circuit, and MRU line filter; [`CoherentHierarchy`]'s
-//! per-thread filter and timestamp-LRU L1) are all claimed to be *exactly*
-//! equivalent to the original per-access division-based walk preserved in
-//! `halo_cache::reference`. These properties prove it on randomized traces
-//! across geometries (including ways=1, non-power-of-two set counts and
-//! page sizes, and prefetch on/off) and thread interleavings — counter for
-//! counter, MESI-lite state for state.
+//! [`CoherentHierarchy`] — the one engine the measurement pipeline drives —
+//! carries precomputed shift/mask geometry, a single-line short-circuit, a
+//! per-thread MRU line filter and a timestamp-LRU L1, all claimed to be
+//! *exactly* equivalent to the original per-access division-based walks
+//! preserved in `halo_cache::reference`. These properties prove it on
+//! randomized traces across geometries (including ways=1, non-power-of-two
+//! set counts and page sizes, and prefetch on/off): on one thread against
+//! the plain [`ReferenceHierarchy`], and across thread interleavings
+//! against [`ReferenceCoherentHierarchy`] — counter for counter, MESI-lite
+//! state for state.
 //!
 //! Case count per property follows the vendored proptest's config and the
 //! `HALO_PROPTEST_CASES` override (CI trims it, soak runs raise it).
 
 use halo_cache::{
-    CacheConfig, CacheHierarchy, CoherentHierarchy, HierarchyConfig, ReferenceCoherentHierarchy,
-    ReferenceHierarchy,
+    CacheConfig, CoherenceStats, CoherentHierarchy, HierarchyConfig, ReferenceCoherentHierarchy,
+    ReferenceHierarchy, TimingModel,
 };
 use proptest::prelude::*;
 
@@ -63,10 +65,12 @@ fn widths(step_exp: u8) -> u8 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Single-threaded fast path ≡ reference walk, including across
-    /// interleaved flushes (which reset the MRU filter).
+    /// One-thread fast path ≡ the plain reference walk, including across
+    /// interleaved flushes (which reset the MRU filter) and varied dTLB
+    /// geometries. With no peer to cohere with, the coherence counters stay
+    /// zero and the coherent cycle model degenerates to the plain one.
     #[test]
-    fn plain_hierarchy_matches_reference(
+    fn one_thread_coherent_matches_reference(
         line_exp in 5u32..7,
         l1_ways in 1u32..5,
         l1_sets in 1u64..5,
@@ -79,7 +83,7 @@ proptest! {
         let config = geometry(
             1 << line_exp, l1_ways, l1_sets, prefetch, PAGES[page_sel], tlb_ways, tlb_sets,
         );
-        let mut fast = CacheHierarchy::new(config);
+        let mut fast = CoherentHierarchy::new(config);
         let mut reference = ReferenceHierarchy::new(config);
         for (i, &(addr, wexp, store)) in trace.iter().enumerate() {
             let width = widths(wexp);
@@ -88,35 +92,20 @@ proptest! {
             if i % 97 == 96 {
                 fast.flush();
                 reference.flush();
+                // Replaying the access right after the flush is what a
+                // stale MRU filter would wrongly count as a hit.
+                fast.access(addr, width, store);
+                reference.access(addr, width, store);
             }
             prop_assert_eq!(fast.stats(), reference.stats(), "diverged at step {}", i);
+            prop_assert_eq!(fast.coherence(), CoherenceStats::default(), "step {}", i);
         }
-    }
-
-    /// `access_batch` ≡ the same accesses delivered one at a time, at
-    /// arbitrary batch boundaries.
-    #[test]
-    fn plain_batch_matches_per_access(
-        l1_ways in 1u32..5,
-        l1_sets in 1u64..5,
-        prefetch in any::<bool>(),
-        chunk in 1usize..48,
-        trace in proptest::collection::vec((0u64..8192, 0u8..5, any::<bool>()), 1..400),
-    ) {
-        let config = geometry(64, l1_ways, l1_sets, prefetch, 4096, 2, 4);
-        let mut batched = CacheHierarchy::new(config);
-        let mut serial = CacheHierarchy::new(config);
-        let addrs: Vec<u64> = trace.iter().map(|&(a, _, _)| a).collect();
-        let ws: Vec<u8> = trace.iter().map(|&(_, w, _)| widths(w)).collect();
-        let stores: Vec<bool> = trace.iter().map(|&(_, _, s)| s).collect();
-        for start in (0..trace.len()).step_by(chunk) {
-            let end = (start + chunk).min(trace.len());
-            batched.access_batch(&addrs[start..end], &ws[start..end], &stores[start..end]);
-        }
-        for i in 0..trace.len() {
-            serial.access(addrs[i], ws[i], stores[i]);
-        }
-        prop_assert_eq!(batched.stats(), serial.stats());
+        let t = TimingModel::skylake_like();
+        let instructions = trace.len() as u64;
+        prop_assert_eq!(
+            t.cycles(instructions, &reference.stats()),
+            t.cycles_coherent(instructions, &fast.stats(), &fast.coherence())
+        );
     }
 
     /// Thread-aware fast path ≡ reference MESI-lite walk: aggregate
@@ -158,18 +147,20 @@ proptest! {
         }
     }
 
-    /// Coherent `access_batch` ≡ per-access delivery. Batches never span a
-    /// thread switch (the engine flushes before announcing one), so the
-    /// trace is chunked within each thread's run of accesses.
+    /// `access_batch` ≡ per-access delivery at arbitrary batch boundaries.
+    /// Batches never span a thread switch (the engine flushes before
+    /// announcing one), so the trace is chunked within each thread's run
+    /// of accesses.
     #[test]
     fn coherent_batch_matches_per_access(
         l1_ways in 1u32..5,
         l1_sets in 1u64..5,
-        chunk in 1usize..32,
+        prefetch in any::<bool>(),
+        chunk in 1usize..48,
         trace in proptest::collection::vec(
             (0u16..4, 0u64..2048, 0u8..5, any::<bool>()), 1..400),
     ) {
-        let config = geometry(64, l1_ways, l1_sets, true, 4096, 2, 4);
+        let config = geometry(64, l1_ways, l1_sets, prefetch, 4096, 2, 4);
         let mut batched = CoherentHierarchy::new(config);
         let mut serial = CoherentHierarchy::new(config);
         // Split the trace into same-thread runs, then feed each run in

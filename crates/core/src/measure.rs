@@ -28,9 +28,9 @@ pub struct MeasureConfig {
 /// routing each access through the private L1D/dTLB of the logical thread
 /// the engine most recently announced (`Op::ThreadSwitch` →
 /// [`Monitor::on_thread_switch`]). Programs that never switch threads see
-/// counters bit-identical to the plain
-/// [`CacheHierarchy`](halo_cache::CacheHierarchy) — the differential
-/// property suite pins that.
+/// counters bit-identical to the plain single-threaded walk
+/// [`ReferenceHierarchy`](halo_cache::ReferenceHierarchy) — the
+/// differential property suite pins that.
 #[derive(Debug)]
 pub struct CacheMonitor {
     hierarchy: CoherentHierarchy,

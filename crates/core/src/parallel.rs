@@ -75,15 +75,27 @@ impl Drop for PanicSignal<'_> {
 ///
 /// `sink` returns `false` to cancel the sweep: jobs not yet claimed are
 /// skipped, already-running jobs finish but their results are dropped.
-/// Panics in `f` propagate to the caller.
-pub fn par_each_ordered<T, R, F, S>(items: &[T], f: F, mut sink: S)
+/// Panics in `f` propagate to the caller with their original payload.
+pub fn par_each_ordered<T, R, F, S>(items: &[T], f: F, sink: S)
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
     S: FnMut(R) -> bool,
 {
-    let threads = thread_count(items.len());
+    par_each_ordered_on(thread_count(items.len()), items, f, sink);
+}
+
+/// [`par_each_ordered`] on exactly `threads` workers (`≤ 1` runs serially
+/// on the calling thread), so tests can force the parallel path on any
+/// host.
+fn par_each_ordered_on<T, R, F, S>(threads: usize, items: &[T], f: F, mut sink: S)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    S: FnMut(R) -> bool,
+{
     if threads <= 1 {
         for item in items {
             if !sink(f(item)) {
@@ -100,8 +112,9 @@ where
     slots.resize_with(items.len(), || None);
     let slots = Mutex::new(slots);
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            scope.spawn(|| {
+            workers.push(scope.spawn(|| {
                 let _signal = PanicSignal { flag: &panicked, ready: &ready };
                 loop {
                     if cancelled.load(Ordering::Acquire) {
@@ -115,39 +128,53 @@ where
                     drop(guard);
                     ready.notify_all();
                 }
-            });
+            }));
         }
         // This (the spawning) thread delivers results in order while the
-        // workers fill slots.
-        let mut next = 0;
-        let mut guard = slots.lock().expect("sweep mutex");
-        while next < items.len() {
-            if panicked.load(Ordering::Acquire) {
-                // Stop surviving workers from claiming further jobs;
-                // scope re-raises the worker's panic on exit.
-                cancelled.store(true, Ordering::Release);
-                break;
-            }
-            match guard[next].take() {
-                Some(result) => {
-                    drop(guard);
-                    if !sink(result) {
-                        cancelled.store(true, Ordering::Release);
-                        break;
+        // workers fill slots; the block releases the slot lock before the
+        // joins below.
+        {
+            let mut next = 0;
+            let mut guard = slots.lock().expect("sweep mutex");
+            while next < items.len() {
+                if panicked.load(Ordering::Acquire) {
+                    // Stop surviving workers from claiming further jobs; the
+                    // worker's panic is re-raised after the joins below.
+                    cancelled.store(true, Ordering::Release);
+                    break;
+                }
+                match guard[next].take() {
+                    Some(result) => {
+                        drop(guard);
+                        if !sink(result) {
+                            cancelled.store(true, Ordering::Release);
+                            break;
+                        }
+                        next += 1;
+                        guard = slots.lock().expect("sweep mutex");
                     }
-                    next += 1;
-                    guard = slots.lock().expect("sweep mutex");
-                }
-                // Timed wait: the panic flag is stored without the lock,
-                // so a pure `wait` could miss its notification; the
-                // timeout bounds delivery latency on that (rare) path.
-                None => {
-                    guard = ready
-                        .wait_timeout(guard, std::time::Duration::from_millis(50))
-                        .expect("sweep mutex")
-                        .0
+                    // Timed wait: the panic flag is stored without the lock,
+                    // so a pure `wait` could miss its notification; the
+                    // timeout bounds delivery latency on that (rare) path.
+                    None => {
+                        guard = ready
+                            .wait_timeout(guard, std::time::Duration::from_millis(50))
+                            .expect("sweep mutex")
+                            .0
+                    }
                 }
             }
+        }
+        // Joining by hand keeps the worker's own payload: left to the
+        // scope, it would be replaced by "a scoped thread panicked".
+        let mut first_panic = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
     });
 }
@@ -210,12 +237,23 @@ mod tests {
     #[test]
     fn results_come_back_in_input_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = par_map(&items, |&n| {
-            // Reverse completion order: later items finish first.
-            std::thread::sleep(std::time::Duration::from_micros(100 - n));
-            n * 2
-        });
-        assert_eq!(out, items.iter().map(|n| n * 2).collect::<Vec<_>>());
+        for threads in [1, 4] {
+            let mut out = Vec::new();
+            par_each_ordered_on(
+                threads,
+                &items,
+                |&n| {
+                    // Reverse completion order: later items finish first.
+                    std::thread::sleep(std::time::Duration::from_micros(100 - n));
+                    n * 2
+                },
+                |r| {
+                    out.push(r);
+                    true
+                },
+            );
+            assert_eq!(out, items.iter().map(|n| n * 2).collect::<Vec<_>>(), "{threads} threads");
+        }
     }
 
     #[test]
@@ -246,26 +284,30 @@ mod tests {
     #[test]
     fn sink_cancellation_stops_the_sweep() {
         use std::sync::atomic::AtomicUsize;
-        let started = AtomicUsize::new(0);
         let items: Vec<u32> = (0..1000).collect();
-        let mut delivered = Vec::new();
-        par_each_ordered(
-            &items,
-            |&n| {
-                started.fetch_add(1, Ordering::Relaxed);
-                // Slow enough that the sweep cannot drain all 1000 jobs
-                // before the sink's cancellation lands.
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                n
-            },
-            |n| {
-                delivered.push(n);
-                n < 3 // cancel after delivering 0, 1, 2, 3
-            },
-        );
-        assert_eq!(delivered, vec![0, 1, 2, 3]);
-        // Unclaimed jobs were skipped (in-flight ones may still finish).
-        assert!(started.load(Ordering::Relaxed) < 1000, "cancellation did not stop the sweep");
+        for threads in [1, 4] {
+            let started = AtomicUsize::new(0);
+            let mut delivered = Vec::new();
+            par_each_ordered_on(
+                threads,
+                &items,
+                |&n| {
+                    started.fetch_add(1, Ordering::Relaxed);
+                    // Slow enough that the sweep cannot drain all 1000 jobs
+                    // before the sink's cancellation lands.
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    n
+                },
+                |n| {
+                    delivered.push(n);
+                    n < 3 // cancel after delivering 0, 1, 2, 3
+                },
+            );
+            assert_eq!(delivered, vec![0, 1, 2, 3], "{threads} threads");
+            // Unclaimed jobs were skipped (in-flight ones may still finish).
+            let started = started.load(Ordering::Relaxed);
+            assert!(started < 1000, "cancellation did not stop the sweep on {threads} threads");
+        }
     }
 
     #[test]
@@ -276,10 +318,11 @@ mod tests {
         let first_delivered = AtomicBool::new(false);
         let items: Vec<u32> = (0..10).collect();
         let mut seen = 0;
-        par_each_ordered(
+        par_each_ordered_on(
+            2,
             &items,
             |&n| {
-                if n == 9 && thread_count(10) > 1 {
+                if n == 9 {
                     while !first_delivered.load(Ordering::Acquire) {
                         std::thread::yield_now();
                     }
@@ -335,11 +378,16 @@ mod tests {
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
         let items: Vec<u32> = (0..8).collect();
-        par_map(&items, |&n| {
-            if n == 3 {
-                panic!("boom");
-            }
-            n
-        });
+        par_each_ordered_on(
+            2,
+            &items,
+            |&n| {
+                if n == 3 {
+                    panic!("boom");
+                }
+                n
+            },
+            |_| true,
+        );
     }
 }

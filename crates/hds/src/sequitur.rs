@@ -269,11 +269,6 @@ impl Sequitur {
         out
     }
 
-    /// Number of uses of rule `r` across all bodies.
-    pub fn rule_uses(&self, r: u32) -> u32 {
-        self.uses[r as usize]
-    }
-
     /// Verify both SEQUITUR invariants plus index consistency; test oracle.
     ///
     /// # Errors

@@ -263,16 +263,6 @@ impl HaloGroupAllocator<SizeClassAllocator> {
 }
 
 impl<F: VmAllocator> HaloGroupAllocator<F> {
-    /// Create an allocator forwarding non-grouped requests to `fallback`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is not a power of two or `slab_size` is not a
-    /// multiple of it.
-    pub fn with_fallback(config: GroupAllocConfig, selectors: SelectorTable, fallback: F) -> Self {
-        Self::build(config, selectors, Vec::new(), fallback)
-    }
-
     /// [`Self::with_group_configs`] with an explicit fallback — the shape
     /// [`crate::ShardedHaloAllocator`] needs: per-shard plans *and* a
     /// per-shard fallback rooted at a shard-private base address.
@@ -630,11 +620,6 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
     /// schedule can span an allocator and its shards.
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.faults = Some(injector);
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
     }
 
     /// Whether `group` has been degraded (its requests route to the

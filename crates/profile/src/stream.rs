@@ -69,12 +69,6 @@ impl ProfileStream {
         &self.graph
     }
 
-    /// The streaming graph by value, for handing to grouping without a
-    /// clone; the stream is left empty as if freshly created.
-    pub fn take_graph(&mut self) -> AffinityGraph {
-        std::mem::replace(&mut self.graph, AffinityGraph::new())
-    }
-
     /// Number of windows absorbed so far.
     pub fn windows(&self) -> u64 {
         self.windows
@@ -147,14 +141,5 @@ mod tests {
         s.absorb(&window(2, &[(0, 1, 40)]));
         s.absorb(&window(2, &[(0, 1, 7)]));
         assert_eq!(s.graph().weight(NodeId(0), NodeId(1)), 7);
-    }
-
-    #[test]
-    fn take_graph_resets_the_stream() {
-        let mut s = ProfileStream::new(1.0);
-        s.absorb(&window(2, &[(0, 1, 3)]));
-        let g = s.take_graph();
-        assert_eq!(g.weight(NodeId(0), NodeId(1)), 3);
-        assert!(s.graph().is_empty());
     }
 }

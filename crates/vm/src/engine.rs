@@ -848,11 +848,6 @@ impl MallocOnlyAllocator {
     pub fn new() -> Self {
         MallocOnlyAllocator { next: Self::BASE, sizes: std::collections::HashMap::new() }
     }
-
-    /// Total bytes handed out.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.next - Self::BASE
-    }
 }
 
 impl Default for MallocOnlyAllocator {

@@ -32,11 +32,6 @@ impl Memory {
         self.pages.len()
     }
 
-    /// Resident bytes (materialised pages × page size).
-    pub fn resident_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
-    }
-
     /// Count materialised pages within `[start, start + len)`.
     pub fn resident_pages_in(&self, start: u64, len: u64) -> usize {
         if len == 0 {

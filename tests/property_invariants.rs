@@ -2,7 +2,7 @@
 //! listed in DESIGN.md §8.
 
 use halo::cache::{
-    CacheHierarchy, CoherenceStats, CoherentHierarchy, HierarchyConfig, LineState, TimingModel,
+    CoherenceStats, CoherentHierarchy, HierarchyConfig, LineState, ReferenceHierarchy, TimingModel,
 };
 use halo::graph::{group, AffinityGraph, Granularity, GroupingParams, NodeId};
 use halo::hds::Grammar;
@@ -693,14 +693,14 @@ proptest! {
         // PR-5 shards=1 test's shape at the cache layer): driven by a
         // single logical thread there is no peer to cohere with, so the
         // MESI-lite machinery must be behaviourally invisible — every
-        // counter matches the plain hierarchy after every access, the
+        // counter matches the plain reference walk after every access, the
         // coherence counters stay zero, and the cycle model agrees.
         let config = [
             HierarchyConfig::tiny(),
             HierarchyConfig { adjacent_line_prefetch: true, ..HierarchyConfig::tiny() },
             HierarchyConfig::xeon_w2195(),
         ][config_idx];
-        let mut plain = CacheHierarchy::new(config);
+        let mut plain = ReferenceHierarchy::new(config);
         let mut coh = CoherentHierarchy::new(config);
         for (step, &(addr, width, store)) in trace.iter().enumerate() {
             plain.access(addr, width, store);
