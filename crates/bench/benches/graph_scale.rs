@@ -3,10 +3,8 @@
 //! (`graph/build_csr_1m`) and one Fig. 6 grouping pass over the finalised
 //! graph (`graph/group_1m_nodes`).
 //!
-//! Bodies are shared with `halo bench` (halo_bench::build_graph /
-//! group_graph_nodes), so the committed BENCH_profile.json rows stay
-//! comparable to these. `HALO_GRAPH_BENCH_NODES` shrinks the scale for CI
-//! smoke runs.
+//! Bodies live in `halo_bench` (`build_graph` / `group_graph_nodes`).
+//! `HALO_GRAPH_BENCH_NODES` shrinks the scale for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use halo_bench::{build_graph, group_graph_nodes, GraphSpec};

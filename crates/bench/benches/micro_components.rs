@@ -39,8 +39,7 @@ fn bench_grouping(c: &mut Criterion) {
 }
 
 fn bench_affinity_queue(c: &mut Criterion) {
-    // Body shared with `halo bench` (halo_bench::affinity_queue_100k) so
-    // the committed BENCH_profile.json rows stay comparable to this one.
+    // Body in halo_bench::affinity_queue_100k.
     c.bench_function("profile/affinity_queue_100k", |b| b.iter(halo_bench::affinity_queue_100k));
     // Streaming variant: partners visit a closure instead of the reusable
     // scratch buffer — the shape the profiler itself uses.
@@ -92,7 +91,7 @@ fn bench_affinity_queue(c: &mut Criterion) {
 fn bench_object_tracker(c: &mut Criterion) {
     // 1k live 40-byte objects, uniformly random lookups: the page index's
     // worst-friendly case (the last-hit cache misses ~100% of the time).
-    // Body shared with `halo bench` (halo_bench::object_find_100k).
+    // Body in halo_bench::object_find_100k.
     c.bench_function("profile/object_find_100k", |b| b.iter(halo_bench::object_find_100k));
     // The pre-index shape: a plain BTreeMap range query per find.
     c.bench_function("profile/object_find_100k_btree_shape", |b| {
@@ -119,9 +118,8 @@ fn bench_object_tracker(c: &mut Criterion) {
 }
 
 fn bench_coherent_cache(c: &mut Criterion) {
-    // Shared body with `halo bench` (same name ⇒ comparable rows in
-    // BENCH_profile.json): four logical threads through the MESI-lite
-    // coherent hierarchy, mixing private and contended shared lines.
+    // Four logical threads through the MESI-lite coherent hierarchy,
+    // mixing private and contended shared lines.
     c.bench_function("cache/coherent_access_100k", |b| b.iter(halo_bench::coherent_access_100k));
 }
 
@@ -166,16 +164,15 @@ fn bench_allocators(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // Shared body with `halo bench` (same name ⇒ comparable rows in
-    // BENCH_profile.json): grouped hot path under per-group plans.
+    // Grouped hot path under per-group plans.
     c.bench_function("mem/group_alloc_malloc_free_100k", |b| {
         b.iter(halo_bench::group_alloc_malloc_free_100k)
     });
-    // Shared with `halo bench` likewise: the thread-safe sharded runtime
-    // under real producer/consumer threads and remote frees.
+    // The thread-safe sharded runtime under real producer/consumer
+    // threads and remote frees.
     c.bench_function("mem/sharded_alloc_mt", |b| b.iter(halo_bench::sharded_alloc_mt));
-    // Shared with `halo bench` likewise: epoch-based plan hot-swaps under
-    // steady allocation traffic (the `halo serve` transition, §15).
+    // Epoch-based plan hot-swaps under steady allocation traffic (the
+    // `halo serve` transition, §15).
     c.bench_function("serve/plan_swap", |b| b.iter(halo_bench::serve_plan_swap));
     c.bench_function("mem/group_alloc_malloc_free_1k", |b| {
         let table =

@@ -6,8 +6,6 @@
 //! `cargo bench --workspace` reproduces the full evaluation; the Criterion
 //! micro-benchmarks of pipeline components live in `benches/micro_*`.
 
-pub mod compare;
-
 use halo_core::{evaluate_with_arg, EvalConfig, EvalResult, HaloConfig, MeasureConfig};
 use halo_graph::{Granularity, GroupingParams, ReusePolicyChoice};
 use halo_hds::HdsConfig;
@@ -177,9 +175,8 @@ pub fn run_backend_pair(
 }
 
 /// The `profile/affinity_queue_100k` micro-workload: A = 128, 64 hot
-/// objects, 8-byte accesses, 100k records. One body shared by the
-/// Criterion micro-bench and `halo bench` so their same-named rows stay
-/// comparable PR-over-PR.
+/// objects, 8-byte accesses, 100k records. Timed by the
+/// `micro_components` Criterion bench under the same name.
 pub fn affinity_queue_100k() -> usize {
     let mut q = halo_profile::AffinityQueue::new(128);
     let mut rng = halo_vm::SplitMix64::new(7);
@@ -220,9 +217,8 @@ pub fn object_find_100k() -> u64 {
 /// hot path — two groups with different per-group plans (bump and sharded
 /// free lists) plus interleaved fallback traffic, mixed sizes, and
 /// periodic burst frees so chunk reuse, the sharded shards, and the spare
-/// pool all stay exercised. One body shared by the Criterion micro-bench
-/// and `halo bench` so allocator-layer regressions land in
-/// `BENCH_profile.json` like the profiler ones do.
+/// pool all stay exercised. Timed by the `micro_components` Criterion
+/// bench like the profiler rows.
 pub fn group_alloc_malloc_free_100k() -> u64 {
     use halo_mem::{GroupSelector, HaloGroupAllocator, ReusePolicy, SelectorTable};
     use halo_vm::VmAllocator as _;
@@ -273,9 +269,8 @@ pub fn group_alloc_malloc_free_100k() -> u64 {
 /// producers, two consumers) hammer one 4-shard
 /// [`halo_mem::ShardedHaloAllocator`] through the [`halo_vm::SyncVmAllocator`]
 /// face — 50k mallocs, every pointer freed on a *different* thread so the
-/// whole stream rides the owner-shard remote-free queues. One body shared
-/// by the Criterion micro-bench and `halo bench` so the concurrent hot
-/// path's regressions land in `BENCH_profile.json` like the rest.
+/// whole stream rides the owner-shard remote-free queues. Timed by the
+/// `micro_components` Criterion bench like the rest.
 pub fn sharded_alloc_mt() -> u64 {
     use halo_mem::{GroupSelector, SelectorTable, ShardedHaloAllocator};
     use halo_vm::SyncVmAllocator as _;
@@ -336,9 +331,9 @@ pub fn sharded_alloc_mt() -> u64 {
 /// [`halo_mem::ShardedHaloAllocator::swap_plans`] hot-swap every 2k
 /// operations, alternating between two per-group plans — the `halo serve`
 /// epoch transition (DESIGN.md §15) under steady allocation traffic, so
-/// both the swap latency (all shard locks held) and the post-swap
-/// fresh-chunk carving land in `BENCH_profile.json`. One body shared by
-/// the Criterion micro-bench and `halo bench` like the rest.
+/// the timing covers both the swap latency (all shard locks held) and the
+/// post-swap fresh-chunk carving. Timed by the `micro_components`
+/// Criterion bench like the rest.
 pub fn serve_plan_swap() -> u64 {
     use halo_mem::{GroupSelector, SelectorTable, ShardedHaloAllocator};
     use halo_vm::SyncVmAllocator as _;
@@ -397,9 +392,8 @@ pub fn serve_plan_swap() -> u64 {
 /// geometry), each mostly walking a private 16 KiB region but with every
 /// eighth access landing in one shared 4 KiB region and every fourth
 /// access a store — so the MESI-lite probe, invalidation, and upgrade
-/// paths all stay hot. One body shared by the Criterion micro-bench and
-/// `halo bench` so coherence-model regressions land in
-/// `BENCH_profile.json` like the rest.
+/// paths all stay hot. Timed by the `micro_components` Criterion bench
+/// like the rest.
 pub fn coherent_access_100k() -> u64 {
     use halo_cache::{CoherentHierarchy, HierarchyConfig};
     const THREADS: u16 = 4;

@@ -89,8 +89,6 @@ pub use measure::{
     measure, measure_detailed, measure_with, CacheMonitor, MeasureConfig, MeasureDetail,
     Measurement,
 };
-pub use parallel::{
-    par_each_ordered, par_map, par_merge_subgraphs, parse_halo_threads, thread_count,
-};
+pub use parallel::{par_each_ordered, par_map, par_merge_subgraphs, thread_count};
 pub use pipeline::{Halo, HaloConfig, Optimised, PipelineError};
 pub use serve::{serve, EpochRow, ServeConfig, ServePhase, ServeReport};

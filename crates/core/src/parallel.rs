@@ -25,7 +25,7 @@ use std::sync::{Condvar, Mutex};
 /// serial path). `Err` describes why the value is unusable — `0` and
 /// non-numeric strings used to be silently ignored, which made typos like
 /// `HALO_THREADS=max` run at full parallelism without a word.
-pub fn parse_halo_threads(value: &str) -> Result<usize, String> {
+fn parse_halo_threads(value: &str) -> Result<usize, String> {
     match value.trim().parse::<usize>() {
         Ok(0) => Err(format!(
             "HALO_THREADS={value} is invalid: thread count must be at least 1 \

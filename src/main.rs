@@ -48,11 +48,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = match command.as_str() {
-        "list" => cmd_list(),
+        "list" => cmd_list(&args[1..]),
         "baseline" => cmd_baseline(&args[1..]),
         "run" => cmd_run(&args[1..]),
         "plot" => cmd_plot(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "help" | "--help" | "-h" => {
             usage();
@@ -76,17 +75,19 @@ fn usage() {
          \n\
          USAGE:\n\
          \thalo list\n\
-         \thalo baseline --benchmark <name>\n\
+         \thalo baseline [--benchmark <name[,name…]|all>] [--json]\n\
          \thalo run --benchmark <name[,name…]|all> [options]\n\
-         \thalo plot [--metric misses|speedup]\n\
-         \thalo bench [--json] [--out <path>] [--compare <old.json>]\n\
+         \thalo plot [--metric misses|speedup] [--benchmark …] [pipeline options] [--inject …]\n\
          \thalo serve --phases <name:windows[,name:windows…]> [options]\n\
          \n\
          Multi-workload sweeps (run/plot/baseline over several benchmarks)\n\
          fan out across CPU cores; output order is deterministic. Set\n\
          HALO_THREADS=1 to force the serial path.\n\
          \n\
-         RUN OPTIONS (defaults follow §5.1):\n\
+         Each command rejects the flags it does not read.\n\
+         \n\
+         RUN OPTIONS (defaults follow §5.1; the pipeline options are the\n\
+         seven from --affinity-distance to --reuse-policy):\n\
          \t--affinity-distance <bytes>   affinity distance A (default 128)\n\
          \t--chunk-size <bytes>          group-chunk size (default 1048576)\n\
          \t--max-spare-chunks <n|inf>    dirty chunks kept before purging (default 1)\n\
@@ -121,12 +122,6 @@ fn usage() {
          \t--random                      also run the random four-pool allocator\n\
          \t--ptmalloc                    also run the ptmalloc2-style baseline\n\
          \t--json                        machine-readable output\n\
-         \n\
-         BENCH OPTIONS:\n\
-         \t--out <path>                  baseline file to write (default BENCH_profile.json)\n\
-         \t--compare <old.json>          after measuring, print a per-row delta table\n\
-         \t                              against a previous baseline file\n\
-         \t--json                        also print the JSON document to stdout\n\
          \n\
          SERVE OPTIONS (online re-optimisation, DESIGN.md §15):\n\
          \t--phases <script>             the scripted workload-mix shift: comma-\n\
@@ -166,15 +161,63 @@ struct Flags {
     ptmalloc: bool,
     json: bool,
     metric: String,
-    out: Option<String>,
-    compare: Option<String>,
     phases: Option<String>,
     decay: Option<f64>,
     drift_threshold: Option<f64>,
     regroup_every: Option<u64>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// The flags each command reads. `parse_flags` rejects any other flag, so
+/// no command silently drops one it was given.
+const ACCEPTED_FLAGS: [(&str, &[&str]); 5] = [
+    ("list", &[]),
+    ("baseline", &["--benchmark", "--json"]),
+    (
+        "plot",
+        &[
+            "--benchmark",
+            "--metric",
+            "--affinity-distance",
+            "--chunk-size",
+            "--max-spare-chunks",
+            "--max-groups",
+            "--merge-tolerance",
+            "--granularity",
+            "--reuse-policy",
+            "--inject",
+        ],
+    ),
+    (
+        "run",
+        &[
+            "--benchmark",
+            "--affinity-distance",
+            "--chunk-size",
+            "--max-spare-chunks",
+            "--max-groups",
+            "--merge-tolerance",
+            "--granularity",
+            "--reuse-policy",
+            "--shards",
+            "--inject",
+            "--measure",
+            "--hds",
+            "--random",
+            "--ptmalloc",
+            "--json",
+        ],
+    ),
+    (
+        "serve",
+        &["--phases", "--shards", "--decay", "--drift-threshold", "--regroup-every", "--json"],
+    ),
+];
+
+fn parse_flags(command: &str, args: &[String]) -> Result<Flags, String> {
+    let (_, accepted) = ACCEPTED_FLAGS
+        .iter()
+        .find(|(c, _)| *c == command)
+        .expect("every command has an accepted-flags entry");
     let mut flags = Flags {
         benchmark: None,
         affinity_distance: None,
@@ -192,8 +235,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         ptmalloc: false,
         json: false,
         metric: "misses".to_string(),
-        out: None,
-        compare: None,
         phases: None,
         decay: None,
         drift_threshold: None,
@@ -201,6 +242,14 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let known = ACCEPTED_FLAGS.iter().any(|(_, f)| f.contains(&arg.as_str()));
+        if known && !accepted.contains(&arg.as_str()) {
+            return Err(if accepted.is_empty() {
+                format!("halo {command} accepts no flags")
+            } else {
+                format!("halo {command} only accepts {}", accepted.join(", "))
+            });
+        }
         let mut value = |name: &str| {
             it.next().map(|s| s.to_string()).ok_or_else(|| format!("{name} needs a value"))
         };
@@ -260,8 +309,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 flags.measure = v;
             }
             "--metric" => flags.metric = value("--metric")?,
-            "--out" => flags.out = Some(value("--out")?),
-            "--compare" => flags.compare = Some(value("--compare")?),
             "--phases" => flags.phases = Some(value("--phases")?),
             "--decay" => {
                 let v = value("--decay")?;
@@ -331,7 +378,7 @@ fn find_workloads(selector: Option<&str>) -> Result<Vec<Workload>, String> {
 }
 
 fn config_for(workload: &Workload, flags: &Flags) -> EvalConfig {
-    let mut config = paper_defaults(workload);
+    let mut config = halo_bench::paper_config(workload);
     if let Some(a) = flags.affinity_distance {
         config.halo.profile.affinity_distance = a;
     }
@@ -369,15 +416,8 @@ fn config_for(workload: &Workload, flags: &Flags) -> EvalConfig {
     config
 }
 
-/// The §5.1 defaults with the §A.8 per-benchmark flags — delegated to
-/// `halo_bench::paper_config`, the single source of the per-benchmark
-/// policy, so `halo run` and the bench harnesses cannot drift apart (the
-/// binary already links `halo_bench` for `halo bench`).
-fn paper_defaults(workload: &Workload) -> EvalConfig {
-    halo_bench::paper_config(workload)
-}
-
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(args: &[String]) -> Result<(), String> {
+    parse_flags("list", args)?;
     println!("{:<10} {:>12} {:>12}  note", "benchmark", "train arg", "ref arg");
     for w in all() {
         println!("{:<10} {:>12} {:>12}  {}", w.name, w.train.arg, w.reference.arg, w.note);
@@ -418,7 +458,7 @@ fn run_sweep<T: Sync>(
 }
 
 fn cmd_baseline(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("baseline", args)?;
     let workloads = find_workloads(flags.benchmark.as_deref())?;
     run_sweep(&workloads, |w| {
         let config = config_for(w, &flags);
@@ -703,7 +743,7 @@ fn render_run(r: &EvalResult, flags: &Flags) -> String {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("run", args)?;
     let workloads = find_workloads(flags.benchmark.as_deref())?;
     if flags.measure == "real" {
         if flags.inject.is_some() {
@@ -727,14 +767,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// per OS thread sharing the sharded allocator, and the wall-clock ratio
 /// is reported. On a single-core host the mode degrades gracefully: it
 /// prints why and exits successfully, so scripted invocations stay green.
-/// `HALO_THREADS` overrides the detected core count (as everywhere else),
-/// which also makes the multi-engine path testable on any host.
+/// `HALO_THREADS` overrides the detected core count under the same policy
+/// as the sweeps (an invalid value warns and falls back), which also makes
+/// the multi-engine path testable on any host.
 fn cmd_run_real(workloads: &[Workload], flags: &Flags) -> Result<(), String> {
     use halo::vm::{Engine, NullMonitor};
-    let cores = match std::env::var("HALO_THREADS") {
-        Ok(v) => halo::core::parse_halo_threads(&v)?,
-        Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    };
+    // Uncapped here; each workload caps the engine count by its shards.
+    let cores = halo::core::thread_count(usize::MAX);
     if cores < 2 {
         println!(
             "--measure real needs a multi-core host (available_parallelism reports {cores}); \
@@ -807,7 +846,7 @@ fn cmd_run_real(workloads: &[Workload], flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_plot(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("plot", args)?;
     let metric_is_speedup = match flags.metric.as_str() {
         "misses" => false,
         "speedup" => true,
@@ -833,168 +872,6 @@ fn cmd_plot(args: &[String]) -> Result<(), String> {
     })
 }
 
-/// One row of the `halo bench` baseline file.
-struct BenchRow {
-    name: &'static str,
-    samples: u32,
-    best_ns: u128,
-    mean_ns: u128,
-}
-
-/// Run `routine` `samples` times; report best and mean wall-clock.
-fn time_samples(name: &'static str, samples: u32, mut routine: impl FnMut()) -> BenchRow {
-    let (mut best, mut total) = (u128::MAX, 0u128);
-    for _ in 0..samples {
-        let start = Instant::now();
-        routine();
-        let ns = start.elapsed().as_nanos();
-        best = best.min(ns);
-        total += ns;
-    }
-    BenchRow { name, samples, best_ns: best, mean_ns: total / u128::from(samples.max(1)) }
-}
-
-/// `halo bench`: machine-readable performance baselines for the profiling
-/// hot path and the end-to-end pipeline, written to `BENCH_profile.json`
-/// so the perf trajectory is tracked across PRs.
-///
-/// Always measures the §5.1 paper defaults — run-configuration flags are
-/// rejected so a flagged invocation can't silently write rows measured
-/// under a different configuration into the committed baseline file.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    if flags.benchmark.is_some()
-        || flags.affinity_distance.is_some()
-        || flags.chunk_size.is_some()
-        || flags.max_spare_chunks.is_some()
-        || flags.max_groups.is_some()
-        || flags.merge_tolerance.is_some()
-        || flags.granularity.is_some()
-        || flags.reuse_policy.is_some()
-        || flags.shards.is_some()
-        || flags.inject.is_some()
-        || flags.measure != "sim" // the parse-time default
-        || flags.metric != "misses" // the parse-time default
-        || flags.hds
-        || flags.random
-        || flags.ptmalloc
-        || flags.phases.is_some()
-        || flags.decay.is_some()
-        || flags.drift_threshold.is_some()
-        || flags.regroup_every.is_some()
-    {
-        return Err("halo bench only accepts --out, --compare, and --json (baselines \
-                    always measure the paper-default configuration)"
-            .to_string());
-    }
-    // Read (and validate) the old baseline *before* spending a minute
-    // measuring, so a bad path or stale schema fails fast.
-    let old_rows = match &flags.compare {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            Some(halo_bench::compare::parse_baseline(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
-    let mut rows = Vec::new();
-
-    // Hot-path micro-workloads — the bodies live in halo_bench and are
-    // shared with the Criterion micro-benches of the same names, so the
-    // rows stay comparable.
-    rows.push(time_samples("profile/affinity_queue_100k", 10, || {
-        std::hint::black_box(halo_bench::affinity_queue_100k());
-    }));
-    rows.push(time_samples("profile/object_find_100k", 10, || {
-        std::hint::black_box(halo_bench::object_find_100k());
-    }));
-    rows.push(time_samples("mem/group_alloc_malloc_free_100k", 10, || {
-        std::hint::black_box(halo_bench::group_alloc_malloc_free_100k());
-    }));
-    rows.push(time_samples("mem/sharded_alloc_mt", 10, || {
-        std::hint::black_box(halo_bench::sharded_alloc_mt());
-    }));
-    rows.push(time_samples("serve/plan_swap", 10, || {
-        std::hint::black_box(halo_bench::serve_plan_swap());
-    }));
-    rows.push(time_samples("cache/coherent_access_100k", 10, || {
-        std::hint::black_box(halo_bench::coherent_access_100k());
-    }));
-
-    // Million-node graph pipeline (DESIGN.md §13): sharded generation →
-    // parallel subgraph union → CSR finalise, then one Fig. 6 grouping
-    // pass. The grouping row times grouping alone on a pre-built graph.
-    let spec = halo_bench::GraphSpec::million();
-    rows.push(time_samples("graph/build_csr_1m", 3, || {
-        std::hint::black_box(halo_bench::build_graph(&spec).len());
-    }));
-    let graph = halo_bench::build_graph(&spec);
-    rows.push(time_samples("graph/group_1m_nodes", 3, || {
-        std::hint::black_box(halo_bench::group_graph_nodes(&graph));
-    }));
-    drop(graph);
-
-    // End-to-end pipeline (profile → group → identify → rewrite →
-    // measure) on the two cheapest workloads.
-    for name in ["toy", "povray"] {
-        let workloads = find_workloads(Some(name))?;
-        let w = &workloads[0];
-        let config = paper_defaults(w);
-        let label: &'static str =
-            if name == "toy" { "pipeline/evaluate_toy" } else { "pipeline/evaluate_povray" };
-        rows.push(time_samples(label, 3, || {
-            let r = evaluate_with_arg(&w.program, w.name, w.train.seed, w.train.arg, &config)
-                .expect("bench workload runs");
-            std::hint::black_box(r.halo().measurement.stats.l1_misses);
-        }));
-    }
-
-    let mut json = String::from("{\n  \"schema\": \"halo-bench/v1\",\n  \"benches\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"samples\": {}, \"best_ns\": {}, \"mean_ns\": {}}}{}",
-            row.name,
-            row.samples,
-            row.best_ns,
-            row.mean_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = flags.out.as_deref().unwrap_or("BENCH_profile.json");
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-
-    for row in &rows {
-        println!(
-            "{:<32} best {:>10.3}ms  mean {:>10.3}ms  ({} samples)",
-            row.name,
-            row.best_ns as f64 / 1e6,
-            row.mean_ns as f64 / 1e6,
-            row.samples
-        );
-    }
-    println!("wrote {path}");
-    if let Some(old) = old_rows {
-        let new: Vec<halo_bench::compare::BaselineRow> = rows
-            .iter()
-            .map(|r| halo_bench::compare::BaselineRow {
-                name: r.name.to_string(),
-                samples: u64::from(r.samples),
-                best_ns: r.best_ns,
-                mean_ns: r.mean_ns,
-            })
-            .collect();
-        let lines = halo_bench::compare::compare(&old, &new);
-        let old_path = flags.compare.as_deref().unwrap_or_default();
-        print!("{}", halo_bench::compare::render_comparison(old_path, &lines));
-    }
-    if flags.json {
-        print!("{json}");
-    }
-    Ok(())
-}
-
 /// `halo serve`: the online re-optimisation loop (DESIGN.md §15) over a
 /// scripted workload-mix shift. Each phase of the `--phases` script serves
 /// a workload for a number of windows; every window streams a decayed
@@ -1008,28 +885,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 /// except the `swap_latency_us` wall-clock fields (CI strips them before
 /// comparing replays).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    if flags.benchmark.is_some()
-        || flags.affinity_distance.is_some()
-        || flags.chunk_size.is_some()
-        || flags.max_spare_chunks.is_some()
-        || flags.max_groups.is_some()
-        || flags.merge_tolerance.is_some()
-        || flags.granularity.is_some()
-        || flags.reuse_policy.is_some()
-        || flags.inject.is_some()
-        || flags.measure != "sim" // the parse-time default
-        || flags.metric != "misses" // the parse-time default
-        || flags.out.is_some()
-        || flags.compare.is_some()
-        || flags.hds
-        || flags.random
-        || flags.ptmalloc
-    {
-        return Err("halo serve only accepts --phases, --shards, --decay, \
-                    --drift-threshold, --regroup-every, and --json"
-            .to_string());
-    }
+    let flags = parse_flags("serve", args)?;
     let script = flags
         .phases
         .as_deref()

@@ -189,22 +189,6 @@ fn shards_flag_enables_the_sharded_backend() {
 }
 
 #[test]
-fn bench_rejects_run_configuration_flags() {
-    let out = halo(&["bench", "--reuse-policy", "sharded"]);
-    assert!(!out.status.success(), "bench must reject run-configuration flags");
-    assert!(stderr(&out).contains("halo bench only accepts"), "{}", stderr(&out));
-    let sharded = halo(&["bench", "--shards", "4"]);
-    assert!(!sharded.status.success(), "bench must reject --shards");
-    assert!(stderr(&sharded).contains("halo bench only accepts"), "{}", stderr(&sharded));
-    let real = halo(&["bench", "--measure", "real"]);
-    assert!(!real.status.success(), "bench must reject --measure real");
-    assert!(stderr(&real).contains("halo bench only accepts"), "{}", stderr(&real));
-    let inject = halo(&["bench", "--inject", "vmm@1"]);
-    assert!(!inject.status.success(), "bench must reject --inject");
-    assert!(stderr(&inject).contains("halo bench only accepts"), "{}", stderr(&inject));
-}
-
-#[test]
 fn inject_surfaces_the_degradation_ladder() {
     // An exact-occurrence schedule fires deterministically; the JSON row
     // gains a `degradation` section whose counters show the fault was
@@ -304,6 +288,24 @@ fn measure_real_gates_on_core_count_and_runs_when_multicore() {
         "the gate must say why it skipped: {}",
         stdout(&gated)
     );
+    // An invalid value follows the shared HALO_THREADS policy: a warning
+    // on stderr and a fallback to the hardware count, not a usage error.
+    let invalid = Command::new(env!("CARGO_BIN_EXE_halo"))
+        .args(["run", "--benchmark", "toy", "--measure", "real"])
+        .env("HALO_THREADS", "zero")
+        .output()
+        .expect("the halo binary must spawn");
+    assert!(
+        invalid.status.success(),
+        "an invalid HALO_THREADS must not fail: {}",
+        stderr(&invalid)
+    );
+    assert!(
+        stderr(&invalid).contains("warning: HALO_THREADS=zero is invalid"),
+        "the invalid value must be reported: {}",
+        stderr(&invalid)
+    );
+    assert!(!stderr(&invalid).contains("USAGE"), "{}", stderr(&invalid));
     let real = Command::new(env!("CARGO_BIN_EXE_halo"))
         .args(["run", "--benchmark", "toy", "--shards", "2", "--measure", "real", "--json"])
         .env("HALO_THREADS", "2")
@@ -401,25 +403,6 @@ fn plot_parallel_output_is_byte_identical_to_serial() {
 }
 
 #[test]
-fn bench_writes_the_baseline_json() {
-    let path = std::env::temp_dir().join(format!("halo_bench_smoke_{}.json", std::process::id()));
-    let out = halo(&["bench", "--out", path.to_str().unwrap()]);
-    assert!(out.status.success(), "halo bench failed: {}", stderr(&out));
-    let json = std::fs::read_to_string(&path).expect("bench baseline file written");
-    std::fs::remove_file(&path).ok();
-    for key in [
-        "\"schema\": \"halo-bench/v1\"",
-        "profile/affinity_queue_100k",
-        "mem/group_alloc_malloc_free_100k",
-        "pipeline/evaluate_toy",
-        "\"best_ns\"",
-        "\"mean_ns\"",
-    ] {
-        assert!(json.contains(key), "bench JSON is missing {key}:\n{json}");
-    }
-}
-
-#[test]
 fn serve_runs_a_steady_phase_and_reports_epochs() {
     // A steady toy phase: no drift, no swaps, serve and static identical.
     let out = halo(&["serve", "--phases", "toy:2", "--shards", "2", "--json"]);
@@ -491,15 +474,11 @@ fn serve_validates_its_flags_and_script() {
         stderr(&regroup)
     );
 
-    // Run-configuration flags are rejected like `halo bench` does, so a
-    // serve report always reflects the paper-default pipeline.
+    // Run-configuration flags are rejected, so a serve report always
+    // reflects the paper-default pipeline.
     let cfg = halo(&["serve", "--phases", "toy:1", "--chunk-size", "65536"]);
     assert!(!cfg.status.success());
     assert!(stderr(&cfg).contains("halo serve only accepts"), "{}", stderr(&cfg));
-    // And `halo bench` rejects the serve-only flags in return.
-    let bench = halo(&["bench", "--phases", "toy:1"]);
-    assert!(!bench.status.success());
-    assert!(stderr(&bench).contains("halo bench only accepts"), "{}", stderr(&bench));
 }
 
 #[test]
@@ -519,6 +498,27 @@ fn errors_are_reported_with_usage() {
     let missing_value = halo(&["run", "--benchmark"]);
     assert!(!missing_value.status.success());
     assert!(stderr(&missing_value).contains("--benchmark needs a value"));
+
+    let retired = halo(&["bench"]);
+    assert!(!retired.status.success());
+    assert!(stderr(&retired).contains("unknown command 'bench'"), "{}", stderr(&retired));
+
+    // Every command rejects a known flag it would not read, before any
+    // work and with no result rows, instead of silently dropping it.
+    for (args, needle) in [
+        (&["list", "--json"][..], "halo list accepts no flags"),
+        (&["baseline", "--chunk-size", "65536"], "halo baseline only accepts"),
+        (&["plot", "--measure", "real"], "halo plot only accepts"),
+        (&["plot", "--json"], "halo plot only accepts"),
+        (&["run", "--benchmark", "toy", "--phases", "toy:1"], "halo run only accepts"),
+        (&["serve", "--phases", "toy:1", "--metric", "speedup"], "halo serve only accepts"),
+    ] {
+        let out = halo(args);
+        assert!(!out.status.success(), "halo {args:?} must fail");
+        assert_eq!(out.stdout.len(), 0, "no result rows before the error ({args:?})");
+        assert!(stderr(&out).contains(needle), "for {args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("USAGE"), "for {args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]
